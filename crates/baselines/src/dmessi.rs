@@ -71,19 +71,20 @@ mod tests {
     fn sw_bsf_reduces_work_on_easy_queries() {
         // With BSF sharing, the node holding the near-identical series
         // publishes a tight bound and the other nodes prune; total work
-        // must not exceed the share-nothing run.
+        // must fall below the share-nothing run. The bound travels as
+        // that node's approximate answer (a seed), before any search,
+        // so it shows up as pruned work, not as counted broadcasts.
         let data = random_walk(4000, 64, 17);
         let w = QueryWorkload::generate(&data, 8, WorkloadKind::Easy { noise: 0.01 }, 19);
         let plain = OdysseyCluster::build(&data, dmessi_config(4)).answer_batch(&w.queries);
         let shared =
             OdysseyCluster::build(&data, dmessi_sw_bsf_config(4)).answer_batch(&w.queries);
         assert!(
-            shared.total_units() <= plain.total_units(),
+            shared.total_units() < plain.total_units(),
             "sharing {} vs plain {}",
             shared.total_units(),
             plain.total_units()
         );
-        assert!(shared.bsf_broadcasts > 0);
     }
 
     #[test]

@@ -60,6 +60,14 @@ impl BsfBoard {
         }
     }
 
+    /// Lowers `query`'s cell to a group's approximate answer before any
+    /// search runs. Not a broadcast: [`BsfBoard::broadcasts`] counts
+    /// only improvements found by searching.
+    #[inline]
+    pub fn seed(&self, query: usize, distance_sq: f64) {
+        self.cells[query].fetch_min(distance_sq.to_bits(), Ordering::AcqRel);
+    }
+
     /// Number of successful broadcasts so far.
     pub fn broadcasts(&self) -> u64 {
         self.broadcasts.load(Ordering::Relaxed)
@@ -351,6 +359,22 @@ mod tests {
         assert_eq!(b.get_sq(1), 2.0);
         assert_eq!(b.get_sq(0), f64::INFINITY);
         assert_eq!(b.broadcasts(), 2);
+    }
+
+    #[test]
+    fn bsf_board_seeds_without_broadcasting() {
+        let b = BsfBoard::new(1);
+        b.seed(0, 6.0);
+        b.seed(0, 8.0); // a worse seed never raises the cell
+        assert_eq!(b.get_sq(0), 6.0);
+        assert_eq!(b.broadcasts(), 0, "seeds are not search improvements");
+        b.publish(0, 7.0); // not below the seed
+        assert_eq!(b.broadcasts(), 0);
+        b.publish(0, 5.0);
+        assert_eq!(b.broadcasts(), 1);
+        // A group whose own seed is the board value keeps its id.
+        let own = BoardBsf::new(5.0, Some(3), Some((&b, 0)));
+        assert_eq!(own.local.best(), (5.0, Some(3)));
     }
 
     #[test]

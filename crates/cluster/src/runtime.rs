@@ -6,9 +6,11 @@
 //!    build per *chunk* shared (`Arc`) by the group's nodes, since
 //!    replication-group nodes build bit-identical trees anyway; build
 //!    time is accounted once per node.
-//! 3. Group coordinators estimate query costs and schedule the batch.
+//! 3. Each group computes its queries' approximate answers once, on its
+//!    own node threads, and estimates costs and schedules from them.
 //! 4. Nodes answer their queries (per-node Odyssey search) with BSF
-//!    sharing and work-stealing.
+//!    sharing, which starts from the batch's best approximate answers,
+//!    and work-stealing.
 //! 5. Local answers merge into the final per-query results.
 
 use crate::boards::{AnswerBoard, BoardBsf, BoardKnn, BsfBoard, CoverageBoard, KnnBoard};
@@ -506,55 +508,10 @@ impl OdysseyCluster {
         let group_size = topo.replication_degree();
 
         // --- Stage 3: per-group estimation + scheduling -----------------
-        let mut dispatch: Vec<GroupDispatch> = Vec::with_capacity(n_groups);
-        // Per-group cost estimates, kept for lane admission (empty for
-        // the non-predictive policies, which also get no lanes).
-        let mut group_costs: Vec<Vec<f64>> = Vec::with_capacity(n_groups);
-        let initial_bsf_board: Vec<AtomicU64> = (0..nq)
-            .map(|_| AtomicU64::new(f64::INFINITY.to_bits()))
-            .collect();
-        for g in 0..n_groups {
-            let estimates = if self.config.scheduler.needs_predictions() {
-                let index = &self.chunk_index[g];
-                (0..nq)
-                    .map(|q| {
-                        let est_bsf = match mode {
-                            BatchMode::Euclidean => index.approx_search(queries.series(q)).distance,
-                            BatchMode::Dtw { window } => {
-                                let kernel = DtwKernel::new(
-                                    queries.series(q),
-                                    window,
-                                    index.config().segments,
-                                );
-                                approx_dtw(index, &kernel).0.sqrt()
-                            }
-                            BatchMode::Knn { .. } => unreachable!(),
-                        };
-                        initial_bsf_board[q].fetch_min(est_bsf.to_bits(), Ordering::Relaxed);
-                        match &self.config.cost_model {
-                            Some(m) => m.estimate(est_bsf),
-                            // No trained model: the online predictor —
-                            // identity until its first refit, then the
-                            // line fitted on this cluster's own traffic.
-                            None => self.feedback.estimate(est_bsf),
-                        }
-                    })
-                    .collect::<Vec<f64>>()
-            } else {
-                vec![1.0; nq]
-            };
-            dispatch.push(GroupDispatch::build_waved(
-                self.config.scheduler,
-                &estimates,
-                group_size,
-                wave_size,
-            ));
-            group_costs.push(if self.config.scheduler.needs_predictions() {
-                estimates
-            } else {
-                Vec::new()
-            });
-        }
+        // Built on the node threads: the first member of each group to
+        // arrive fills its group's plan while the others wait on it, so
+        // the groups estimate in parallel.
+        let plans: Vec<OnceLock<GroupPlan>> = (0..n_groups).map(|_| OnceLock::new()).collect();
 
         // --- Stage 4: node execution ------------------------------------
         let bsf_board = BsfBoard::new(nq);
@@ -595,7 +552,6 @@ impl OdysseyCluster {
         // in-flight lane query, so stealing no longer disables lanes.
         let use_lanes =
             self.config.inter_query_lanes && self.config.scheduler.needs_predictions();
-        let group_costs = &group_costs;
 
         // --- Failure-aware control plane --------------------------------
         let shard_map = ShardMap::new(*topo, self.config.lease_ticks);
@@ -619,7 +575,7 @@ impl OdysseyCluster {
                     .iter()
                     .position(|&m| m == node)
                     .expect("node belongs to its group");
-                let dispatch = &dispatch;
+                let plans = &plans;
                 let bsf_board = &bsf_board;
                 let answer_board = &answer_board;
                 let done = &done;
@@ -643,6 +599,15 @@ impl OdysseyCluster {
                 // Node worker thread.
                 let speed = self.config.node_speed(node);
                 scope.spawn(move || {
+                    // Peers, managers and re-route waits all wait on
+                    // these flags: publishing them on every exit, an
+                    // unwind included, lets the scope join and re-raise
+                    // a node's panic instead of hanging.
+                    let retire = Retire {
+                        drained: &drained[node],
+                        done: &done[node],
+                        group_done: &group_done[g],
+                    };
                     // One persistent engine per node: thread-pool and
                     // scratch setup is paid once for the whole batch,
                     // not once per query (the node's "resident" cores).
@@ -651,7 +616,19 @@ impl OdysseyCluster {
                         self.config.threads_per_node,
                         Arc::clone(&registries[node]),
                     );
+                    let plan =
+                        plans[g].get_or_init(|| self.plan_group(g, queries, mode, wave_size));
                     let mut nf = NodeFaults::new(fault_plan, node);
+                    // A live member shares its group's approximate
+                    // answers before searching, so every group starts
+                    // from the batch's best bound, not just its own
+                    // chunk's.
+                    if self.config.bsf_sharing && !nf.kill_due() {
+                        for (qid, &(sq, id)) in plan.seeds.iter().enumerate() {
+                            bsf_board.seed(qid, sq);
+                            answer_board.merge(qid, self.globalize(g, Answer::from_sq(sq, id)));
+                        }
+                    }
                     // One installed service hook covers the pool and
                     // every lane: straggler pacing, the fault clock
                     // (delay pacing + armed worker panics), plus
@@ -721,7 +698,7 @@ impl OdysseyCluster {
                             }
                         }
                         if self.config.max_reroutes > 0 {
-                            for qid in dispatch[g].drain_member(member_idx) {
+                            for qid in plan.dispatch.drain_member(member_idx) {
                                 rq.queue.push_back((qid, 1));
                             }
                         }
@@ -729,9 +706,7 @@ impl OdysseyCluster {
                             rq.inflight -= 1;
                         }
                         drop(rq);
-                        drained[node].store(true, Ordering::Release);
-                        done[node].store(true, Ordering::Release);
-                        group_done[g].fetch_add(1, Ordering::AcqRel);
+                        retire.now();
                     };
                     if nf.has_fatal() {
                         // A fault-bearing node runs the sequential pool
@@ -744,7 +719,7 @@ impl OdysseyCluster {
                                 hand_off(None, false);
                                 return;
                             }
-                            let Some(qid) = dispatch[g].next(member_idx) else {
+                            let Some(qid) = plan.dispatch.next(member_idx) else {
                                 break;
                             };
                             let fatal_now = nf.panic_due();
@@ -752,8 +727,8 @@ impl OdysseyCluster {
                                 std::panic::AssertUnwindSafe(|| {
                                     self.execute_query(
                                         &mut Runner::Pool(&engine),
+                                        plan,
                                         None,
-                                        group_costs[g].get(qid).copied(),
                                         queries.series(qid),
                                         qid,
                                         mode,
@@ -850,8 +825,8 @@ impl OdysseyCluster {
                             let qid = resp.query_id.expect("non-empty steal has query");
                             let stats = self.execute_query(
                                 &mut Runner::Lane(ctx),
+                                plan,
                                 Some((&resp.batch_ids, resp.bsf_sq)),
-                                None,
                                 queries.series(qid),
                                 qid,
                                 mode,
@@ -870,15 +845,15 @@ impl OdysseyCluster {
                             true
                         };
                         self.run_lane_dispatch(
-                            &dispatch[g],
+                            &plan.dispatch,
                             member_idx,
-                            &group_costs[g],
+                            &plan.costs,
                             &engine,
                             &|ctx, qid| {
                                 let stats = self.execute_query(
                                     &mut Runner::Lane(ctx),
+                                    plan,
                                     None,
-                                    group_costs[g].get(qid).copied(),
                                     queries.series(qid),
                                     qid,
                                     mode,
@@ -893,11 +868,11 @@ impl OdysseyCluster {
                             ),
                         );
                     } else {
-                        while let Some(qid) = dispatch[g].next(member_idx) {
+                        while let Some(qid) = plan.dispatch.next(member_idx) {
                             let stats = self.execute_query(
                                 &mut Runner::Pool(&engine),
+                                plan,
                                 None,
-                                group_costs[g].get(qid).copied(),
                                 queries.series(qid),
                                 qid,
                                 mode,
@@ -969,8 +944,8 @@ impl OdysseyCluster {
                                         std::panic::AssertUnwindSafe(|| {
                                             self.execute_query(
                                                 &mut Runner::Pool(&engine),
+                                                plan,
                                                 None,
-                                                group_costs[g].get(qid).copied(),
                                                 queries.series(qid),
                                                 qid,
                                                 mode,
@@ -1002,8 +977,7 @@ impl OdysseyCluster {
                             }
                         }
                     }
-                    done[node].store(true, Ordering::Release);
-                    group_done[g].fetch_add(1, Ordering::AcqRel);
+                    retire.now();
                     // PerformWorkStealing (Algorithm 4). An outstanding
                     // request is never abandoned while its response could
                     // still arrive: a served (non-empty) response has
@@ -1022,8 +996,8 @@ impl OdysseyCluster {
                             let qid = resp.query_id.expect("non-empty steal has query");
                             let stats = self.execute_query(
                                 &mut Runner::Pool(&engine),
+                                plan,
                                 Some((&resp.batch_ids, resp.bsf_sq)),
-                                None,
                                 queries.series(qid),
                                 qid,
                                 mode,
@@ -1128,9 +1102,15 @@ impl OdysseyCluster {
                 .iter()
                 .map(|u| u.load(Ordering::Relaxed))
                 .collect(),
-            per_query_initial_bsf: initial_bsf_board
-                .iter()
-                .map(|b| f64::from_bits(b.load(Ordering::Relaxed)))
+            per_query_initial_bsf: (0..nq)
+                .map(|q| {
+                    plans
+                        .iter()
+                        .filter_map(|p| p.get())
+                        .map(|p| p.seeds[q].0)
+                        .fold(f64::INFINITY, f64::min)
+                        .sqrt()
+                })
                 .collect(),
             steals_attempted: steals_attempted.into_inner(),
             steals_successful: steals_successful.into_inner(),
@@ -1149,12 +1129,15 @@ impl OdysseyCluster {
     /// run, so the work-stealing manager (and the workers' cooperative
     /// service hook) can hand out its RS-batches from either surface —
     /// lanes serve thieves mid-round just like the pool does.
+    ///
+    /// A full execution starts from its group's stored approximate
+    /// answer; a stolen subset starts from the victim's BSF.
     #[allow(clippy::too_many_arguments)]
     fn execute_query(
         &self,
         runner: &mut Runner<'_, '_, '_>,
+        plan: &GroupPlan,
         stolen: Option<(&[usize], f64)>,
-        estimate: Option<f64>,
         query: &[f32],
         qid: usize,
         mode: BatchMode,
@@ -1162,68 +1145,115 @@ impl OdysseyCluster {
         bsf_board: &BsfBoard,
         answer_board: &AnswerBoard,
     ) -> SearchStats {
-        let index = Arc::clone(runner.index());
-        let stolen_bsf = stolen.map(|(_, bsf_sq)| bsf_sq);
-        let params = SearchParams::new(self.config.threads_per_node)
+        let segments = runner.index().config().segments;
+        let ((init_sq, init_id), estimate) = match stolen {
+            Some((_, bsf_sq)) => ((bsf_sq, None), None),
+            None => (plan.seeds[qid], plan.costs.get(qid).copied()),
+        };
+        let mut params = SearchParams::new(self.config.threads_per_node)
             .with_th(self.config.pq_threshold)
             .with_nsb(self.config.rs_batches);
-        let board_opt = self.config.bsf_sharing.then_some((bsf_board, qid));
-        let mut run = |kernel: &dyn QueryKernel, init_sq: f64, init_id: Option<u32>| {
-            // Per-query TH (Figure 6): the sigmoid model predicts the
-            // queue threshold from this query's initial BSF. The online
-            // wrapper starts at the trained parameters and refits from
-            // this cluster's own `(BSF, median queue size)` samples.
-            let mut params = params;
-            if let Some(th) = &self.th_feedback {
-                params.th = th.predict_th(init_sq.sqrt());
-            }
-            let bsf = BoardBsf::new(init_sq, init_id, board_opt);
-            let grant = runner.admit(
-                qid,
-                Arc::clone(&bsf.local) as Arc<dyn ResultSet + Send + Sync>,
-                estimate,
-            );
-            let stats = runner.run_query(
-                kernel,
-                &params,
-                &bsf,
-                stolen.map(|(ids, _)| ids),
-                &grant,
-            );
-            drop(grant);
-            answer_board.merge(qid, self.globalize(group, bsf.local_answer()));
-            // Close the prediction loop (full executions only: a stolen
-            // subset's time says nothing about a whole query's cost).
-            if stolen.is_none() {
-                self.feedback
-                    .record(init_sq.sqrt(), stats.elapsed.as_secs_f64());
-                if let Some(th) = &self.th_feedback {
-                    th.record(init_sq.sqrt(), stats.pq_size_median as f64);
-                }
-            }
-            stats
-        };
-        match mode {
+        // Per-query TH (Figure 6): the sigmoid model predicts the queue
+        // threshold from this query's initial BSF. The online wrapper
+        // starts at the trained parameters and refits from this
+        // cluster's own `(BSF, median queue size)` samples.
+        if let Some(th) = &self.th_feedback {
+            params.th = th.predict_th(init_sq.sqrt());
+        }
+        // Starts from the lower of the group's own bound and the board's
+        // (other groups' seeds and improvements).
+        let board = self.config.bsf_sharing.then_some((bsf_board, qid));
+        let bsf = BoardBsf::new(init_sq, init_id, board);
+        let grant = runner.admit(
+            qid,
+            Arc::clone(&bsf.local) as Arc<dyn ResultSet + Send + Sync>,
+            estimate,
+        );
+        let batch_subset = stolen.map(|(ids, _)| ids);
+        let stats = match mode {
             BatchMode::Euclidean => {
-                let kernel = EdKernel::new(query, index.config().segments);
-                let (init_sq, init_id) = match stolen_bsf {
-                    Some(bsf_sq) => (bsf_sq, None),
-                    None => {
-                        let a = index.approx_search_paa(query, kernel.qpaa());
-                        (a.distance_sq, a.series_id)
-                    }
-                };
-                run(&kernel, init_sq, init_id)
+                let kernel = EdKernel::new(query, segments);
+                runner.run_query(&kernel, &params, &bsf, batch_subset, &grant)
             }
             BatchMode::Dtw { window } => {
-                let kernel = DtwKernel::new(query, window, index.config().segments);
-                let (init_sq, init_id) = match stolen_bsf {
-                    Some(bsf_sq) => (bsf_sq, None),
-                    None => approx_dtw(&index, &kernel),
-                };
-                run(&kernel, init_sq, init_id)
+                let kernel = DtwKernel::new(query, window, segments);
+                runner.run_query(&kernel, &params, &bsf, batch_subset, &grant)
             }
             BatchMode::Knn { .. } => unreachable!("guarded by answer_batch_mode"),
+        };
+        drop(grant);
+        answer_board.merge(qid, self.globalize(group, bsf.local_answer()));
+        // Close the prediction loop (full executions only: a stolen
+        // subset's time says nothing about a whole query's cost). The
+        // models see the group-local seed, the value `estimate_cost` is
+        // fed, not the board's bound.
+        if stolen.is_none() {
+            self.feedback
+                .record(init_sq.sqrt(), stats.elapsed.as_secs_f64());
+            if let Some(th) = &self.th_feedback {
+                th.record(init_sq.sqrt(), stats.pq_size_median as f64);
+            }
+        }
+        stats
+    }
+
+    /// Stage 3 for group `g`: every query's approximate answer over the
+    /// group's chunk (its exact `distance_sq` and chunk-local id), the
+    /// PREDICT-* cost estimates derived from it, and the dispatch.
+    fn plan_group(
+        &self,
+        g: usize,
+        queries: &DatasetBuffer,
+        mode: BatchMode,
+        wave_size: Option<usize>,
+    ) -> GroupPlan {
+        let index = &self.chunk_index[g];
+        let seeds: Vec<(f64, Option<u32>)> = (0..queries.num_series())
+            .map(|q| match mode {
+                BatchMode::Euclidean => {
+                    let a = index.approx_search(queries.series(q));
+                    (a.distance_sq, a.series_id)
+                }
+                BatchMode::Dtw { window } => approx_dtw(
+                    index,
+                    &DtwKernel::new(queries.series(q), window, index.config().segments),
+                ),
+                BatchMode::Knn { .. } => unreachable!("guarded by answer_batch_mode"),
+            })
+            .collect();
+        let predict = self.config.scheduler.needs_predictions();
+        let estimates: Vec<f64> = if predict {
+            seeds
+                .iter()
+                .map(|&(sq, _)| self.estimate_cost(sq.sqrt()))
+                .collect()
+        } else {
+            vec![1.0; seeds.len()]
+        };
+        let dispatch = GroupDispatch::build_waved(
+            self.config.scheduler,
+            &estimates,
+            self.topology.replication_degree(),
+            wave_size,
+        );
+        GroupPlan {
+            seeds,
+            // Kept for lane admission; the non-predictive policies get
+            // no estimates and no lanes.
+            costs: if predict { estimates } else { Vec::new() },
+            dispatch,
+        }
+    }
+
+    /// The PREDICT-* cost estimate of a query whose approximate answer
+    /// lies at (rooted) distance `approx`.
+    fn estimate_cost(&self, approx: f64) -> f64 {
+        match &self.config.cost_model {
+            Some(m) => m.estimate(approx),
+            // No trained model: the online predictor — identity until
+            // its first refit, then the line fitted on this cluster's
+            // own traffic.
+            None => self.feedback.estimate(approx),
         }
     }
 
@@ -1316,11 +1346,7 @@ impl OdysseyCluster {
                 let index = &self.chunk_index[g];
                 (0..nq)
                     .map(|q| {
-                        let est_bsf = index.approx_search(queries.series(q)).distance;
-                        match &self.config.cost_model {
-                            Some(m) => m.estimate(est_bsf),
-                            None => self.feedback.estimate(est_bsf),
-                        }
+                        self.estimate_cost(index.approx_search(queries.series(q)).distance)
                     })
                     .collect::<Vec<f64>>()
             } else {
@@ -1635,6 +1661,46 @@ struct RerouteQueue {
     /// the query *before* decrementing this (under the same lock), so
     /// observers never see an empty queue while work can reappear.
     inflight: usize,
+}
+
+/// Stage 3's output for one replication group, built once per batch by
+/// the group's first member to arrive ([`OdysseyCluster::plan_group`]).
+struct GroupPlan {
+    /// Per query: the approximate answer over the group's chunk — its
+    /// exact squared distance (never re-squared from a rooted value, so
+    /// [`BoardBsf::new`] recognises the group's own seed on the board)
+    /// and its chunk-local id.
+    seeds: Vec<(f64, Option<u32>)>,
+    /// Per-query cost estimates (empty for the non-predictive policies).
+    costs: Vec<f64>,
+    dispatch: GroupDispatch,
+}
+
+/// A node's exit from the batch protocol: the flags its peers' steal
+/// loops, the managers and the re-route waits poll. Published once,
+/// explicitly on a normal exit or hand-off, and from `Drop` when the
+/// node thread unwinds.
+struct Retire<'a> {
+    drained: &'a AtomicBool,
+    done: &'a AtomicBool,
+    group_done: &'a AtomicUsize,
+}
+
+impl Retire<'_> {
+    /// Marks the node drained and done and counts it into its group —
+    /// once, however often it is called.
+    fn now(&self) {
+        self.drained.store(true, Ordering::Release);
+        if !self.done.swap(true, Ordering::AcqRel) {
+            self.group_done.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+}
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        self.now();
+    }
 }
 
 /// The per-group dispatch structure (stage 3's output).
@@ -2321,6 +2387,160 @@ mod tests {
                 assert!(
                     (got.0 - all[j]).abs() < 1e-9,
                     "query {qi} neighbor {j} after failover"
+                );
+            }
+        }
+    }
+
+    /// Near-duplicates of the first `n` series of `chunk` (global ids):
+    /// each query's true neighbour lies in that chunk.
+    fn near_duplicates(data: &DatasetBuffer, chunk: &[u32], n: usize) -> DatasetBuffer {
+        let mut raw = Vec::with_capacity(n * data.series_len());
+        for (k, &id) in chunk.iter().take(n).enumerate() {
+            raw.extend(
+                data.series(id as usize)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| v + 0.02 * (((i * 7 + k * 13) % 11) as f32 - 5.0) / 5.0),
+            );
+        }
+        DatasetBuffer::from_vec(raw, data.series_len())
+    }
+
+    /// The reported id must point at a series at the reported distance.
+    fn assert_id_realizes(data: &DatasetBuffer, q: &[f32], got: Answer, label: &str) {
+        let id = got
+            .series_id
+            .unwrap_or_else(|| panic!("{label}: answer has no id"));
+        let d = odyssey_core::distance::euclidean_sq(q, data.series(id as usize));
+        assert!(
+            (d - got.distance_sq).abs() < 1e-9,
+            "{label}: id {id} lies at {d}, answer says {}",
+            got.distance_sq
+        );
+    }
+
+    #[test]
+    fn seeded_groups_stay_exact_with_the_neighbour_in_the_last_group() {
+        // Every group but the last starts from another group's seed (the
+        // batch-wide best bound, carried without an id); the answer must
+        // still be exact and name a series realizing it, under every
+        // scheduler and with sharing and stealing on or off.
+        let data = random_walk(1200, 64, 95);
+        for rep in [Replication::EquallySplit, Replication::Partial(2)] {
+            let base = OdysseyCluster::build(&data, ClusterConfig::new(4).with_replication(rep));
+            let last = base.topology().n_groups() - 1;
+            let queries = near_duplicates(&data, base.chunk_ids(last), 8);
+            for kind in SchedulerKind::all() {
+                for sharing in [false, true] {
+                    for stealing in [false, true] {
+                        let label =
+                            format!("{rep:?} {kind:?} sharing={sharing} stealing={stealing}");
+                        let report = base
+                            .reconfigured(|c| {
+                                c.with_scheduler(kind)
+                                    .with_bsf_sharing(sharing)
+                                    .with_work_stealing(stealing)
+                            })
+                            .answer_batch(&queries);
+                        assert!(report.fully_covered(), "{label}");
+                        for qi in 0..queries.num_series() {
+                            let q = queries.series(qi);
+                            let want = brute_force(&data, q);
+                            let got = report.answers[qi];
+                            assert!(
+                                (got.distance_sq - want.distance_sq).abs() < 1e-9,
+                                "{label} query {qi}: {} is not exact ({})",
+                                got.distance_sq,
+                                want.distance_sq
+                            );
+                            assert_id_realizes(&data, q, got, &format!("{label} query {qi}"));
+                            assert!(
+                                report.per_query_initial_bsf[qi] >= got.distance,
+                                "{label} query {qi}: a seed below the exact answer"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeds_of_a_group_that_dies_later_keep_partial_answers_honest() {
+        // The victim publishes its chunk's seeds, answers two queries,
+        // and dies: its group's coverage is lost for the rest, but the
+        // answers may keep its seeds — real series, so they carry an id
+        // realizing their distance and are no worse than exact search
+        // over the covered chunks.
+        let data = random_walk(1200, 64, 96);
+        let victim = 1;
+        let base = OdysseyCluster::build(
+            &data,
+            ClusterConfig::new(4).with_replication(Replication::EquallySplit),
+        );
+        let queries = near_duplicates(&data, base.chunk_ids(victim), 8);
+        let report = base
+            .reconfigured(|c| c.with_fault_plan(FaultPlan::new().kill(victim, 2)))
+            .answer_batch(&queries);
+        assert_eq!(report.dead_nodes, vec![victim]);
+        let mut partial = 0;
+        for qi in 0..queries.num_series() {
+            let Coverage::Partial { missing_groups } = &report.coverage[qi] else {
+                continue;
+            };
+            partial += 1;
+            assert_eq!(missing_groups, &vec![victim], "query {qi}");
+            let q = queries.series(qi);
+            let got = report.answers[qi];
+            assert_id_realizes(&data, q, got, &format!("query {qi}"));
+            let covered = (0..4)
+                .filter(|&g| g != victim)
+                .flat_map(|g| base.chunk_ids(g).iter().copied())
+                .map(|id| odyssey_core::distance::euclidean_sq(q, data.series(id as usize)))
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                got.distance_sq <= covered + 1e-9,
+                "query {qi}: {} is worse than the covered chunks' {covered}",
+                got.distance_sq
+            );
+        }
+        assert_eq!(partial, queries.num_series() - 2);
+    }
+
+    #[test]
+    fn a_panicking_node_fails_the_batch_instead_of_hanging() {
+        // A NaN query panics whichever node estimates it. Every peer,
+        // manager and re-route wait must still see that node retire, so
+        // the batch re-raises the panic; the watchdog aborts the test
+        // binary if it hangs instead.
+        let data = random_walk(400, 64, 97);
+        let mut raw = data.raw()[..4 * 64].to_vec();
+        raw[2 * 64] = f32::NAN;
+        let queries = DatasetBuffer::from_vec(raw, 64);
+        for rep in [Replication::Full, Replication::EquallySplit] {
+            let base = OdysseyCluster::build(&data, ClusterConfig::new(2).with_replication(rep));
+            for kind in SchedulerKind::all() {
+                let cluster = base.reconfigured(|c| c.with_scheduler(kind));
+                let (tx, rx) = bounded::<()>(1);
+                let run = std::thread::scope(|s| {
+                    s.spawn(move || {
+                        if let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
+                            rx.recv_timeout(Duration::from_secs(20))
+                        {
+                            eprintln!("{rep:?} {kind:?}: answer_batch hung on a node panic");
+                            std::process::abort();
+                        }
+                    });
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        cluster.answer_batch(&queries)
+                    }));
+                    drop(tx);
+                    run
+                });
+                assert!(
+                    run.is_err(),
+                    "{rep:?} {kind:?}: a NaN query must fail the batch"
                 );
             }
         }

@@ -11,9 +11,12 @@ use crate::layout::LeafLayout;
 use crate::paa::paa;
 use crate::sax::sax_word_into;
 use crate::search::answer::Answer;
+use crate::search::batches::RsBatches;
 use crate::search::exact::{exact_search, SearchParams};
 use crate::series::DatasetBuffer;
 use crate::tree::{build_forest, Node, RootSubtree};
+use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Roots bounded per sweep call in the approximate search's fallback
@@ -90,6 +93,9 @@ pub struct Index {
     /// root-mindist sweep consumes); a pure function of `forest`,
     /// rebuilt on load, never persisted.
     root_soa: crate::tree::RootSoa,
+    /// RS-batch partitions of `forest`, one per requested batch count,
+    /// built on first use ([`Index::rs_batches`]).
+    rs_batches: Mutex<Vec<(usize, Arc<RsBatches>)>>,
     build_times: BuildTimes,
 }
 
@@ -134,6 +140,7 @@ impl Index {
             layout,
             root_soa: crate::tree::RootSoa::build(&forest),
             forest,
+            rs_batches: Mutex::default(),
             build_times: BuildTimes {
                 buffer_time,
                 tree_time,
@@ -160,6 +167,7 @@ impl Index {
             layout,
             root_soa: crate::tree::RootSoa::build(&forest),
             forest,
+            rs_batches: Mutex::default(),
             build_times: BuildTimes::default(),
         }
     }
@@ -195,6 +203,21 @@ impl Index {
     #[inline]
     pub fn forest(&self) -> &[RootSubtree] {
         &self.forest
+    }
+
+    /// The forest's partition into at most `nsb` RS-batches
+    /// ([`RsBatches::build`] over the root-subtree sizes). Built once
+    /// per `nsb` and shared by every later query, so a batch id means
+    /// the same subtrees on every search over this index.
+    pub(crate) fn rs_batches(&self, nsb: usize) -> Arc<RsBatches> {
+        let mut memo = self.rs_batches.lock();
+        if let Some((_, batches)) = memo.iter().find(|(n, _)| *n == nsb) {
+            return Arc::clone(batches);
+        }
+        let sizes: Vec<usize> = self.forest.iter().map(|t| t.size).collect();
+        let batches = Arc::new(RsBatches::build(&sizes, nsb));
+        memo.push((nsb, Arc::clone(&batches)));
+        batches
     }
 
     /// Segment-major planes of the root words — the operand of the
@@ -243,19 +266,14 @@ impl Index {
 
     /// Approximate search (the "initial BSF" computation, Algorithm 1
     /// line 5): descend greedily to the most promising leaf and take the
-    /// best real distance inside it.
+    /// best real distance inside it. Builds a throwaway per-query
+    /// [`MindistTable`](crate::sax::MindistTable) — callers that already
+    /// hold one (the exact-search kernels) use
+    /// [`Index::approx_search_with_table`] instead.
     pub fn approx_search(&self, query: &[f32]) -> ApproxResult {
         let qpaa = self.query_paa(query);
-        self.approx_search_paa(query, &qpaa)
-    }
-
-    /// [`Index::approx_search`] with a precomputed query PAA. Builds a
-    /// throwaway per-query [`MindistTable`] — callers that already hold
-    /// one (the exact-search kernels) use
-    /// [`Index::approx_search_with_table`] instead.
-    pub fn approx_search_paa(&self, query: &[f32], qpaa: &[f64]) -> ApproxResult {
-        let table = crate::sax::MindistTable::from_paa(qpaa, self.config.series_len);
-        self.approx_search_with_table(query, qpaa, &table)
+        let table = crate::sax::MindistTable::from_paa(&qpaa, self.config.series_len);
+        self.approx_search_with_table(query, &qpaa, &table)
     }
 
     /// [`Index::approx_search`] against a caller-supplied per-query
@@ -418,6 +436,30 @@ mod tests {
         assert_eq!(total, 500);
         assert!(idx.leaf_count() >= 1);
         assert!(idx.size_bytes() > 0);
+    }
+
+    #[test]
+    fn memoized_rs_batches_match_a_fresh_build() {
+        // A skewed forest: a dense cluster of near-copies fills a few
+        // roots, random walks spread thinly over the rest.
+        let mut raw = walk_dataset(600, 64, 13).raw().to_vec();
+        let base = raw[..64].to_vec();
+        for i in 0..1400 {
+            raw.extend(base.iter().map(|&v| v + (i % 7) as f32 * 1e-3));
+        }
+        let cfg = IndexConfig::new(64).with_segments(8).with_leaf_capacity(20);
+        let idx = Index::build(DatasetBuffer::from_vec(raw, 64), cfg, 2);
+        let sizes: Vec<usize> = idx.forest().iter().map(|t| t.size).collect();
+        let largest = sizes.iter().copied().max().unwrap();
+        assert!(largest * sizes.len() > 20 * 2000, "forest is not skewed");
+        for nsb in [1usize, 2, 8, 32, 64] {
+            let memo = idx.rs_batches(nsb);
+            assert_eq!(*memo, RsBatches::build(&sizes, nsb), "nsb={nsb}");
+            assert!(
+                Arc::ptr_eq(&memo, &idx.rs_batches(nsb)),
+                "nsb={nsb} rebuilt"
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::sync::PhaseBarrier;
 use crate::tree::{Node, RootSoa, RootSubtree};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Number of RS-batches handed over per steal request; the paper found 4
 /// to be the sweet spot (Section 3.2.2).
@@ -419,7 +419,7 @@ pub(crate) struct ExecShared<'e, K: ?Sized, R: ?Sized> {
     help_th: usize,
     /// Active (to-process) global batch ids.
     active: Vec<usize>,
-    batches: RsBatches,
+    batches: Arc<RsBatches>,
     bstates: Vec<BatchState<'e>>,
     /// Traversal-phase batch-claiming cursor (`Fetch&Add`).
     bcnt: AtomicUsize,
@@ -455,10 +455,8 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
     ) -> Self {
         let start = std::time::Instant::now();
         let forest = index.forest();
-        let sizes: Vec<usize> = forest.iter().map(|t| t.size).collect();
         let n_threads = params.n_threads.max(1);
-        let nsb = params.nsb.unwrap_or(n_threads).max(1);
-        let batches = RsBatches::build(&sizes, nsb);
+        let batches = index.rs_batches(params.nsb.unwrap_or(n_threads).max(1));
         view.init(batches.len());
         let active: Vec<usize> = match batch_subset {
             Some(ids) => ids.iter().copied().filter(|&b| b < batches.len()).collect(),

@@ -20,7 +20,7 @@ pub fn seed_from_approx_leaf(index: &Index, query: &[f32], knn: &SharedKnn) {
     if index.forest().is_empty() {
         return;
     }
-    // Greedy descent, mirroring Index::approx_search_paa.
+    // Greedy descent, mirroring Index::approx_search_with_table.
     let mut qsax = vec![0u8; index.config().segments];
     crate::sax::sax_word_into(&qpaa, &mut qsax);
     let qkey = crate::buffers::root_key_of_sax(&qsax);
