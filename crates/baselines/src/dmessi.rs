@@ -70,12 +70,21 @@ mod tests {
     #[test]
     fn sw_bsf_reduces_work_on_easy_queries() {
         // With BSF sharing, the node holding the near-identical series
-        // publishes a tight bound and the other nodes prune; total work
-        // must fall below the share-nothing run. The bound travels as
-        // that node's approximate answer (a seed), before any search,
-        // so it shows up as pruned work, not as counted broadcasts.
+        // shares a tight bound and the other nodes prune; total work
+        // must fall below the share-nothing run. The easy queries' bound
+        // travels as that node's approximate answer (a seed, not a
+        // broadcast); on the hard half, searching beats every seed, and
+        // those improvements are broadcast.
         let data = random_walk(4000, 64, 17);
-        let w = QueryWorkload::generate(&data, 8, WorkloadKind::Easy { noise: 0.01 }, 19);
+        let w = QueryWorkload::generate(
+            &data,
+            8,
+            WorkloadKind::Mixed {
+                hard_fraction: 0.5,
+                noise: 0.01,
+            },
+            19,
+        );
         let plain = OdysseyCluster::build(&data, dmessi_config(4)).answer_batch(&w.queries);
         let shared =
             OdysseyCluster::build(&data, dmessi_sw_bsf_config(4)).answer_batch(&w.queries);
@@ -85,6 +94,7 @@ mod tests {
             shared.total_units(),
             plain.total_units()
         );
+        assert!(shared.bsf_broadcasts > 0);
     }
 
     #[test]

@@ -34,7 +34,10 @@ use odyssey_core::series::DatasetBuffer;
 use odyssey_partition::Partition;
 use odyssey_sched::admission::{plan_dispatch_widths, plan_dispatch_widths_adaptive};
 use odyssey_sched::scheduler::{dynamic_order, greedy_by_estimate, static_split};
-use odyssey_sched::{CostModel, OnlineCostModel, OnlineThresholdModel, SchedulerKind, SpeedupCurve};
+use odyssey_sched::{
+    CostModel, OnlineCostModel, OnlineThresholdModel, QueryCostPredictor, SchedulerKind,
+    SpeedupCurve,
+};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,7 +111,9 @@ pub struct BatchReport {
     pub per_query_units: Vec<u64>,
     /// Queries answered per node (own assignments, not steals).
     pub per_node_queries: Vec<usize>,
-    /// Best initial BSF (rooted) observed per query across groups.
+    /// Best initial BSF (rooted) per query: the lowest approximate
+    /// answer among the groups that had a member alive when its search
+    /// started (a group dead from the start seeds nothing).
     pub per_query_initial_bsf: Vec<f64>,
     /// Steal requests sent by idle nodes.
     pub steals_attempted: u64,
@@ -510,12 +515,18 @@ impl OdysseyCluster {
         // --- Stage 3: per-group estimation + scheduling -----------------
         // Built on the node threads: the first member of each group to
         // arrive fills its group's plan while the others wait on it, so
-        // the groups estimate in parallel.
+        // the groups estimate in parallel. Searches of early groups
+        // record into the online cost model while later groups still
+        // plan, so every group estimates from one state, frozen here.
         let plans: Vec<OnceLock<GroupPlan>> = (0..n_groups).map(|_| OnceLock::new()).collect();
+        let cost_model = self.batch_cost_model();
 
         // --- Stage 4: node execution ------------------------------------
         let bsf_board = BsfBoard::new(nq);
         let answer_board = AnswerBoard::new(nq);
+        // `seeded[g]`: a member of group g was alive when its search
+        // started, so the group's seeds bounded a live search.
+        let seeded: Vec<AtomicBool> = (0..n_groups).map(|_| AtomicBool::new(false)).collect();
         let done: Vec<AtomicBool> = (0..n_nodes).map(|_| AtomicBool::new(false)).collect();
         let group_done: Vec<AtomicUsize> = (0..n_groups).map(|_| AtomicUsize::new(0)).collect();
         // One steal registry per node, shared between the node's engine
@@ -576,6 +587,8 @@ impl OdysseyCluster {
                     .position(|&m| m == node)
                     .expect("node belongs to its group");
                 let plans = &plans;
+                let cost_model = &cost_model;
+                let seeded = &seeded;
                 let bsf_board = &bsf_board;
                 let answer_board = &answer_board;
                 let done = &done;
@@ -616,17 +629,22 @@ impl OdysseyCluster {
                         self.config.threads_per_node,
                         Arc::clone(&registries[node]),
                     );
-                    let plan =
-                        plans[g].get_or_init(|| self.plan_group(g, queries, mode, wave_size));
+                    let plan = plans[g].get_or_init(|| {
+                        self.plan_group(g, queries, mode, wave_size, cost_model.as_ref())
+                    });
                     let mut nf = NodeFaults::new(fault_plan, node);
                     // A live member shares its group's approximate
                     // answers before searching, so every group starts
                     // from the batch's best bound, not just its own
-                    // chunk's.
-                    if self.config.bsf_sharing && !nf.kill_due() {
-                        for (qid, &(sq, id)) in plan.seeds.iter().enumerate() {
-                            bsf_board.seed(qid, sq);
-                            answer_board.merge(qid, self.globalize(g, Answer::from_sq(sq, id)));
+                    // chunk's. A member dead from the start shares none.
+                    if !nf.kill_due() {
+                        seeded[g].store(true, Ordering::Relaxed);
+                        if self.config.bsf_sharing {
+                            for (qid, &(sq, id)) in plan.seeds.iter().enumerate() {
+                                bsf_board.seed(qid, sq);
+                                answer_board
+                                    .merge(qid, self.globalize(g, Answer::from_sq(sq, id)));
+                            }
                         }
                     }
                     // One installed service hook covers the pool and
@@ -1106,7 +1124,9 @@ impl OdysseyCluster {
                 .map(|q| {
                     plans
                         .iter()
-                        .filter_map(|p| p.get())
+                        .zip(&seeded)
+                        .filter(|(_, s)| s.load(Ordering::Relaxed))
+                        .filter_map(|(p, _)| p.get())
                         .map(|p| p.seeds[q].0)
                         .fold(f64::INFINITY, f64::min)
                         .sqrt()
@@ -1185,7 +1205,7 @@ impl OdysseyCluster {
         answer_board.merge(qid, self.globalize(group, bsf.local_answer()));
         // Close the prediction loop (full executions only: a stolen
         // subset's time says nothing about a whole query's cost). The
-        // models see the group-local seed, the value `estimate_cost` is
+        // models see the group-local seed, the value the cost model is
         // fed, not the board's bound.
         if stolen.is_none() {
             self.feedback
@@ -1206,6 +1226,7 @@ impl OdysseyCluster {
         queries: &DatasetBuffer,
         mode: BatchMode,
         wave_size: Option<usize>,
+        cost_model: &dyn CostModel,
     ) -> GroupPlan {
         let index = &self.chunk_index[g];
         let seeds: Vec<(f64, Option<u32>)> = (0..queries.num_series())
@@ -1225,7 +1246,7 @@ impl OdysseyCluster {
         let estimates: Vec<f64> = if predict {
             seeds
                 .iter()
-                .map(|&(sq, _)| self.estimate_cost(sq.sqrt()))
+                .map(|&(sq, _)| cost_model.estimate(sq.sqrt()))
                 .collect()
         } else {
             vec![1.0; seeds.len()]
@@ -1245,15 +1266,15 @@ impl OdysseyCluster {
         }
     }
 
-    /// The PREDICT-* cost estimate of a query whose approximate answer
-    /// lies at (rooted) distance `approx`.
-    fn estimate_cost(&self, approx: f64) -> f64 {
+    /// The PREDICT-* cost model for one batch, mapping a query's
+    /// (rooted) approximate distance to its estimated cost: the trained
+    /// model, or else a frozen copy of the online predictor — identity
+    /// until its first refit, then the line fitted on this cluster's own
+    /// traffic.
+    fn batch_cost_model(&self) -> Arc<dyn CostModel> {
         match &self.config.cost_model {
-            Some(m) => m.estimate(approx),
-            // No trained model: the online predictor — identity until
-            // its first refit, then the line fitted on this cluster's
-            // own traffic.
-            None => self.feedback.estimate(approx),
+            Some(m) => Arc::clone(m),
+            None => Arc::new(QueryCostPredictor::from_regression(self.feedback.line())),
         }
     }
 
@@ -1341,13 +1362,12 @@ impl OdysseyCluster {
 
         let mut dispatch: Vec<GroupDispatch> = Vec::with_capacity(n_groups);
         let mut group_costs: Vec<Vec<f64>> = Vec::with_capacity(n_groups);
+        let cost_model = self.batch_cost_model();
         for g in 0..n_groups {
             let estimates = if self.config.scheduler.needs_predictions() {
                 let index = &self.chunk_index[g];
                 (0..nq)
-                    .map(|q| {
-                        self.estimate_cost(index.approx_search(queries.series(q)).distance)
-                    })
+                    .map(|q| cost_model.estimate(index.approx_search(queries.series(q)).distance))
                     .collect::<Vec<f64>>()
             } else {
                 vec![1.0; nq]
@@ -2462,6 +2482,69 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_group_dead_from_the_start_reports_no_initial_bsf() {
+        // The dead group's chunk holds every query's near neighbour, so
+        // its approximate answers lie far below anything the survivor
+        // finds. It never searched, so it seeded nothing: the reported
+        // initial BSF must come from the survivor alone.
+        let data = random_walk(900, 64, 99);
+        let base = OdysseyCluster::build(
+            &data,
+            ClusterConfig::new(2)
+                .with_replication(Replication::EquallySplit)
+                .with_fault_plan(FaultPlan::new().kill(1, 0)),
+        );
+        let queries = near_duplicates(&data, base.chunk_ids(1), 6);
+        for sharing in [false, true] {
+            let report = base
+                .reconfigured(|c| c.with_bsf_sharing(sharing))
+                .answer_batch(&queries);
+            assert_eq!(report.dead_nodes, vec![1]);
+            for qi in 0..queries.num_series() {
+                let got = report.answers[qi];
+                assert!(
+                    report.per_query_initial_bsf[qi] >= got.distance,
+                    "sharing={sharing} query {qi}: initial BSF {} below the answer {}",
+                    report.per_query_initial_bsf[qi],
+                    got.distance
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn group_plans_estimate_from_the_batch_model_state() {
+        // Searches record into the online cost model while later groups
+        // still plan; a refit in between must not reach their estimates,
+        // or a group's dispatch would depend on when it planned.
+        let data = random_walk(800, 64, 100);
+        let cluster = OdysseyCluster::build(
+            &data,
+            ClusterConfig::new(2)
+                .with_replication(Replication::EquallySplit)
+                .with_scheduler(SchedulerKind::PredictSt)
+                .with_feedback_refit_every(2),
+        );
+        let w = QueryWorkload::generate(&data, 6, WorkloadKind::Hard, 23);
+        let cost_model = cluster.batch_cost_model();
+        let plan = |g| {
+            cluster.plan_group(g, &w.queries, BatchMode::Euclidean, None, cost_model.as_ref())
+        };
+        let first = plan(0);
+        cluster.feedback().record(1.0, 3.0);
+        cluster.feedback().record(2.0, 7.0);
+        assert_eq!(cluster.feedback().refits(), 1);
+        for (g, p) in [(0, first), (1, plan(1))] {
+            for (q, &(sq, _)) in p.seeds.iter().enumerate() {
+                let approx = sq.sqrt();
+                let live = cluster.feedback().estimate(approx);
+                assert_eq!(p.costs[q], approx, "group {g} query {q}: not the batch's line");
+                assert_ne!(p.costs[q], live, "group {g} query {q}: the refitted line");
             }
         }
     }

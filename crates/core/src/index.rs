@@ -11,12 +11,10 @@ use crate::layout::LeafLayout;
 use crate::paa::paa;
 use crate::sax::sax_word_into;
 use crate::search::answer::Answer;
-use crate::search::batches::RsBatches;
+use crate::search::batches::{RsBatchMemo, RsBatches};
 use crate::search::exact::{exact_search, SearchParams};
 use crate::series::DatasetBuffer;
 use crate::tree::{build_forest, Node, RootSubtree};
-use parking_lot::Mutex;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Roots bounded per sweep call in the approximate search's fallback
@@ -95,7 +93,7 @@ pub struct Index {
     root_soa: crate::tree::RootSoa,
     /// RS-batch partitions of `forest`, one per requested batch count,
     /// built on first use ([`Index::rs_batches`]).
-    rs_batches: Mutex<Vec<(usize, Arc<RsBatches>)>>,
+    rs_batches: RsBatchMemo,
     build_times: BuildTimes,
 }
 
@@ -140,7 +138,7 @@ impl Index {
             layout,
             root_soa: crate::tree::RootSoa::build(&forest),
             forest,
-            rs_batches: Mutex::default(),
+            rs_batches: RsBatchMemo::default(),
             build_times: BuildTimes {
                 buffer_time,
                 tree_time,
@@ -167,7 +165,7 @@ impl Index {
             layout,
             root_soa: crate::tree::RootSoa::build(&forest),
             forest,
-            rs_batches: Mutex::default(),
+            rs_batches: RsBatchMemo::default(),
             build_times: BuildTimes::default(),
         }
     }
@@ -209,15 +207,11 @@ impl Index {
     /// ([`RsBatches::build`] over the root-subtree sizes). Built once
     /// per `nsb` and shared by every later query, so a batch id means
     /// the same subtrees on every search over this index.
-    pub(crate) fn rs_batches(&self, nsb: usize) -> Arc<RsBatches> {
-        let mut memo = self.rs_batches.lock();
-        if let Some((_, batches)) = memo.iter().find(|(n, _)| *n == nsb) {
-            return Arc::clone(batches);
-        }
-        let sizes: Vec<usize> = self.forest.iter().map(|t| t.size).collect();
-        let batches = Arc::new(RsBatches::build(&sizes, nsb));
-        memo.push((nsb, Arc::clone(&batches)));
-        batches
+    pub(crate) fn rs_batches(&self, nsb: usize) -> &RsBatches {
+        self.rs_batches.get(nsb, || {
+            let sizes: Vec<usize> = self.forest.iter().map(|t| t.size).collect();
+            RsBatches::build(&sizes, nsb)
+        })
     }
 
     /// Segment-major planes of the root words — the operand of the
@@ -455,10 +449,12 @@ mod tests {
         for nsb in [1usize, 2, 8, 32, 64] {
             let memo = idx.rs_batches(nsb);
             assert_eq!(*memo, RsBatches::build(&sizes, nsb), "nsb={nsb}");
-            assert!(
-                Arc::ptr_eq(&memo, &idx.rs_batches(nsb)),
-                "nsb={nsb} rebuilt"
-            );
+        }
+        // Asked again, in another order: the same partitions, not rebuilt.
+        for nsb in [64usize, 8, 1, 32, 2] {
+            let memo = idx.rs_batches(nsb);
+            assert_eq!(*memo, RsBatches::build(&sizes, nsb), "nsb={nsb}");
+            assert!(std::ptr::eq(memo, idx.rs_batches(nsb)), "nsb={nsb} rebuilt");
         }
     }
 

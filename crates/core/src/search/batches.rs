@@ -10,6 +10,8 @@
 //! Batches are balanced by contained series count (not subtree count),
 //! because root-subtree sizes are heavily skewed on real data.
 
+use std::sync::OnceLock;
+
 /// The RS-batch partition of a forest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsBatches {
@@ -77,6 +79,30 @@ impl RsBatches {
     #[inline]
     pub fn range(&self, b: usize) -> std::ops::Range<usize> {
         self.ranges[b].clone()
+    }
+}
+
+/// RS-batch partitions memoized per requested batch count: an
+/// append-only list whose entries are each set once, so a lookup is a
+/// chain of atomic loads and never takes a lock.
+#[derive(Debug, Default)]
+pub(crate) struct RsBatchMemo {
+    entry: OnceLock<(usize, RsBatches)>,
+    next: OnceLock<Box<RsBatchMemo>>,
+}
+
+impl RsBatchMemo {
+    /// The partition into at most `nsb` batches, built by `build` the
+    /// first time `nsb` is asked for.
+    pub(crate) fn get(&self, nsb: usize, build: impl Fn() -> RsBatches) -> &RsBatches {
+        let mut memo = self;
+        loop {
+            let (n, batches) = memo.entry.get_or_init(|| (nsb, build()));
+            if *n == nsb {
+                return batches;
+            }
+            memo = memo.next.get_or_init(Box::default);
+        }
     }
 }
 

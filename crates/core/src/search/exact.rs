@@ -27,7 +27,7 @@ use crate::sync::PhaseBarrier;
 use crate::tree::{Node, RootSoa, RootSubtree};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Number of RS-batches handed over per steal request; the paper found 4
 /// to be the sweet spot (Section 3.2.2).
@@ -419,7 +419,7 @@ pub(crate) struct ExecShared<'e, K: ?Sized, R: ?Sized> {
     help_th: usize,
     /// Active (to-process) global batch ids.
     active: Vec<usize>,
-    batches: Arc<RsBatches>,
+    batches: &'e RsBatches,
     bstates: Vec<BatchState<'e>>,
     /// Traversal-phase batch-claiming cursor (`Fetch&Add`).
     bcnt: AtomicUsize,
